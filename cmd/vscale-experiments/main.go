@@ -23,15 +23,14 @@
 // cluster shoot-out's per-policy cost_vcpu_seconds and attainment) carry
 // them in the entry's "metrics" map.
 //
-// -sync and -lag select the cluster fleet executor (boundedlag by
-// default, lockstep as the differential reference) and its staleness
-// bound; stdout is byte-identical across both.
-//
-// -warm-epochs gives every cluster fleet a policy-neutral warm-up
-// prefix; -warmfork simulates it once per host count and forks each
-// policy from the snapshot (bit-identical results, less wall clock);
-// -checkpoint/-restore persist and reuse the warm-prefix snapshot
-// (vscale-checkpoint/v1) across invocations. See docs/checkpoint.md.
+// -lag sets the cluster fleets' placement-staleness/run-ahead bound
+// and -elastic their elasticity layer. -warm-epochs gives every
+// cluster fleet a policy-neutral warm-up prefix; -warmfork simulates
+// it once per host count and forks each policy from the snapshot
+// (bit-identical results, less wall clock); -checkpoint/-restore
+// persist and reuse the warm-prefix snapshot (vscale-checkpoint/v1)
+// across invocations. See docs/checkpoint.md. These fleet flags are
+// shared with vscalesim.
 //
 // -benchworkers runs the selected experiments once per listed worker
 // count, each pass with a fresh config (so memoized sweeps cannot make
@@ -111,13 +110,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker pool size per experiment (default GOMAXPROCS)")
 	window := flag.Float64("window", 20, "Apache measurement window per load level, seconds")
 	policies := flag.String("policies", "all", "comma-separated scaling policies for the cluster experiment (or 'all'; registry names)")
-	syncFlag := flag.String("sync", "", "cluster fleet executor, lockstep | boundedlag (default boundedlag); stdout is byte-identical across modes")
-	lagFlag := flag.Int("lag", 0, "cluster placement-staleness/run-ahead bound, epochs (0 = default)")
-	warmEpochs := flag.Int("warm-epochs", 0, "policy-neutral warm-up prefix for cluster fleets, epochs (0 = experiment defaults)")
-	warmFork := flag.Bool("warmfork", false, "cluster: simulate the warm prefix once per host count and fork every policy from the snapshot (requires -warm-epochs)")
-	checkpointFlag := flag.String("checkpoint", "", "cluster: write the warm-prefix snapshot (vscale-checkpoint/v1) to this file")
-	restoreFlag := flag.String("restore", "", "cluster: fork the policies from a previously written snapshot instead of simulating the warm prefix")
-	elasticFlag := flag.String("elastic", "", "cluster fleet elasticity mode: none | migrate | replicas | hybrid (default none; see docs/cluster.md)")
+	fleet := experiments.BindFleetFlags(flag.CommandLine)
 	benchWorkers := flag.String("benchworkers", "", "comma-separated worker counts: run the selection once per count with a fresh config, assert identical stdout, record the speedup series in -benchjson")
 	seed := flag.Uint64("seed", 1, "base seed for per-run seed derivation")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of all runs to this path")
@@ -183,10 +176,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if _, err := cluster.ParseSyncMode(*syncFlag); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	var workerSeries []int
 	if *benchWorkers != "" {
 		for _, s := range strings.Split(*benchWorkers, ",") {
@@ -211,13 +200,7 @@ func main() {
 		cfg.Trace = *traceOut != "" || *schedstats
 		cfg.TraceCapacity = *tracecap
 		cfg.Policies = pols
-		cfg.Sync = *syncFlag
-		cfg.LagEpochs = *lagFlag
-		cfg.WarmEpochs = *warmEpochs
-		cfg.WarmFork = *warmFork
-		cfg.CheckpointPath = *checkpointFlag
-		cfg.RestorePath = *restoreFlag
-		cfg.Elastic = *elasticFlag
+		cfg.FleetFlags = *fleet
 		return cfg
 	}
 

@@ -37,11 +37,13 @@
 // through the cluster policy registry; 'all' runs every registered
 // policy) on identical churn traces and printing the SLO scoreboard
 // with its cost-vs-attainment frontier. -hosts and -horizon size the
-// fleet; -pcpus, -slo, -seed and -parallel keep their meanings. -sync
-// selects the fleet executor (boundedlag by default, lockstep as the
-// differential reference) and -lag its staleness/run-ahead bound —
-// stdout is byte-identical across both and across -parallel settings.
-// See docs/cluster.md.
+// fleet; -pcpus, -slo, -seed and -parallel keep their meanings. -lag
+// sets the bounded-lag executor's staleness/run-ahead bound and
+// -elastic its elasticity layer; stdout is byte-identical across
+// -parallel settings. See docs/cluster.md.
+//
+// The fleet flags (-lag, -elastic and the warm-prefix flags below) are
+// shared with vscale-experiments and need -policies.
 //
 // -warm-epochs gives every fleet run a policy-neutral warm-up prefix;
 // -warmfork simulates that prefix once and forks each competed policy
@@ -94,13 +96,7 @@ func main() {
 	policiesFlag := flag.String("policies", "", "fleet mode: comma-separated scaling policies to compete (or 'all'; registry names)")
 	hosts := flag.Int("hosts", 2, "fleet mode: hosts in the fleet")
 	horizonSecs := flag.Float64("horizon", 8, "fleet mode: churn horizon, seconds")
-	syncFlag := flag.String("sync", "", "fleet mode: executor, lockstep | boundedlag (default boundedlag); results are byte-identical across modes")
-	lagFlag := flag.Int("lag", 0, "fleet mode: placement-staleness/run-ahead bound in epochs (0 = default)")
-	warmEpochs := flag.Int("warm-epochs", 0, "fleet mode: policy-neutral warm-up prefix, epochs (0 = none)")
-	warmFork := flag.Bool("warmfork", false, "fleet mode: simulate the warm prefix once and fork every policy from the snapshot (requires -warm-epochs)")
-	checkpointPath := flag.String("checkpoint", "", "fleet mode: write the warm-prefix snapshot (vscale-checkpoint/v1) to this file")
-	restorePath := flag.String("restore", "", "fleet mode: fork the policies from a previously written snapshot instead of simulating the warm prefix")
-	elasticFlag := flag.String("elastic", "", "fleet mode: elasticity layer, none | migrate | replicas | hybrid (default none)")
+	fleet := experiments.BindFleetFlags(flag.CommandLine)
 	nobg := flag.Bool("dedicated", false, "no background VMs")
 	maxSecs := flag.Float64("max", 600, "simulation deadline, seconds")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
@@ -164,8 +160,8 @@ func main() {
 	// fleet shoot-out. The sink above still serves/streams telemetry;
 	// stdout is the scoreboard with its cost-vs-attainment frontier and
 	// is byte-identical for every -parallel setting.
-	if *policiesFlag == "" && (*warmEpochs != 0 || *warmFork || *checkpointPath != "" || *restorePath != "") {
-		fmt.Fprintln(os.Stderr, "-warm-epochs/-warmfork/-checkpoint/-restore are fleet-mode flags; add -policies")
+	if *policiesFlag == "" && fleet.Set() {
+		fmt.Fprintln(os.Stderr, "-lag/-elastic/-warm-epochs/-warmfork/-checkpoint/-restore are fleet-mode flags; add -policies")
 		os.Exit(2)
 	}
 	if *policiesFlag != "" {
@@ -174,19 +170,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		syncMode, err := cluster.ParseSyncMode(*syncFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		warm := experiments.ClusterWarm{
-			Epochs:         *warmEpochs,
-			Fork:           *warmFork,
-			CheckpointPath: *checkpointPath,
-			RestorePath:    *restorePath,
-		}
 		r, err := experiments.Cluster(runner.Options{Workers: *parallel, BaseSeed: *seed},
-			sink, []int{*hosts}, *pcpus, sim.FromSeconds(*horizonSecs), sim.FromMillis(*sloMs), pols, syncMode, *lagFlag, *elasticFlag, warm)
+			sink, []int{*hosts}, *pcpus, sim.FromSeconds(*horizonSecs), sim.FromMillis(*sloMs), pols, fleet.LagEpochs, fleet.Elastic, fleet.Warm)
 		fatal(err)
 		fmt.Print(r.Render())
 		if telemetryFile != nil {

@@ -31,10 +31,11 @@ import (
 //
 // Everything a host does between gates — scheduling its batch, running
 // its engine, snapshotting, its per-boundary policy pass — is host-
-// local and happens on its own timeline, in exactly the order the
-// lockstep executor would have produced on that host's engine. That,
-// plus the shared router, is why the two executors' FleetResults are
-// byte-identical.
+// local and happens on its own timeline, in the order a serial
+// epoch-by-epoch loop would produce on that host's engine. That, plus
+// the shared router, is why the FleetResult is byte-identical at every
+// worker count (reference_test.go keeps such a serial loop as the
+// differential reference).
 type asyncFleet struct {
 	cfg   *FleetConfig
 	plan  *epochPlan
@@ -44,6 +45,9 @@ type asyncFleet struct {
 	res   *FleetResult
 	lead  int // run-ahead bound (0 while telemetry is attached)
 	last  int // plan.epochs(); epoch index `last` is the drain step
+	// end is the done count at which a host stops: last+1 (drained), or
+	// the stop boundary of a warm-prefix run.
+	end int
 	// telFrom is the first boundary with a collection epoch (the warm
 	// boundary when a warm prefix is configured); ckpt is the capture
 	// boundary (cfg.CheckpointEpoch, 0 for none).
@@ -57,7 +61,7 @@ type asyncFleet struct {
 	// routed is the routing frontier: epochs [0, routed) have their
 	// batches delivered.
 	routed int
-	// done[i] counts host i's completed epochs (last+1 = drained);
+	// done[i] counts host i's completed epochs (end = finished);
 	// minDone/minCount track the minimum incrementally.
 	done     []int
 	minDone  int
@@ -105,9 +109,13 @@ var testEpochHook func(host, epoch int)
 
 // runBoundedLag executes the fleet asynchronously; see asyncFleet.
 // start is the first epoch to run (the capture boundary when resuming
-// from a checkpoint); pre preloads the retained placement snapshots a
+// from a checkpoint). A positive stop parks every host at that
+// boundary — still quiesced and unarmed, none of the boundary's work
+// begun — and returns the retained placement window there, the
+// warm-prefix exit CaptureWarmPrefix captures from; stop 0 runs
+// through the drain. pre preloads the retained placement snapshots a
 // restored run still owes the router.
-func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []ScalingPolicy, rt *fleetRouter, res *FleetResult, start int, pre []RingBoundary) error {
+func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []ScalingPolicy, rt *fleetRouter, res *FleetResult, start, stop int, pre []RingBoundary) ([]RingBoundary, error) {
 	f := &asyncFleet{
 		cfg:           cfg,
 		plan:          plan,
@@ -117,6 +125,7 @@ func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []Scal
 		res:           res,
 		lead:          rt.lag,
 		last:          plan.epochs(),
+		end:           plan.epochs() + 1,
 		telFrom:       telemetryFrom(cfg),
 		ckpt:          cfg.CheckpointEpoch,
 		routed:        start,
@@ -127,6 +136,9 @@ func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []Scal
 		batches:       make([][][]routedEvent, len(hosts)),
 		snaps:         make([]map[int]hostSnap, len(hosts)),
 		hostWall:      make([]time.Duration, len(hosts)),
+	}
+	if stop > 0 {
+		f.end = stop
 	}
 	f.cond = sync.NewCond(&f.mu)
 	tel := cfg.Telemetry != nil
@@ -157,12 +169,12 @@ func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []Scal
 	wall := time.Now()
 	f.pool = runner.NewPool(cfg.Workers, len(hosts), f.advance)
 	f.pool.WakeAll()
-	err := f.route()
+	ring, err := f.route()
 	f.pool.Close()
 
 	if rep := cfg.Report; rep != nil {
 		// One job per host: its wall clock sums the executor chunks that
-		// advanced it (lockstep reports one job per host-epoch instead).
+		// advanced it.
 		rep.Jobs += len(hosts)
 		if w := f.pool.Workers(); w > rep.Workers {
 			rep.Workers = w
@@ -170,40 +182,40 @@ func runBoundedLag(cfg *FleetConfig, plan *epochPlan, hosts []*Host, pols []Scal
 		rep.Wall += time.Since(wall)
 		rep.JobWall = append(rep.JobWall, f.hostWall...)
 	}
-	return err
+	return ring, err
 }
 
 // route is the control-plane loop, run on the RunFleet goroutine: it
 // routes churn epochs in trace order (waiting on the slowest host only
 // when an arrival epoch needs its base snapshot), interleaves telemetry
 // collection epochs when a collector is attached, and finally waits for
-// every host to drain.
-func (f *asyncFleet) route() error {
+// every host to drain — or, with a stop boundary, for every host to
+// park there, returning the placement window the capture needs.
+func (f *asyncFleet) route() ([]RingBoundary, error) {
 	tel := f.cfg.Telemetry != nil
 	start := f.routed
-	for k := start; k < f.last; k++ {
+	for k := start; k < min(f.end, f.last); k++ {
 		if f.ckpt > 0 && k == f.ckpt {
-			// The capture barrier precedes boundary k's collection epoch,
-			// exactly as in lockstep: the snapshot excludes the boundary's
-			// own collection and policy work, which the restored run
-			// replays.
+			// The capture barrier precedes boundary k's collection epoch:
+			// the snapshot excludes the boundary's own collection and
+			// policy work, which the restored run replays.
 			if err := f.captureBarrier(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		if tel && k >= f.telFrom {
-			// Boundary k's collection epoch precedes epoch k's routing,
-			// exactly as in lockstep (counters reflect epochs [0, k)).
+			// Boundary k's collection epoch precedes epoch k's routing
+			// (counters reflect epochs [0, k)).
 			if err := f.collectBoundary(k, f.plan.ends[k-1]); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		if f.rt.el != nil && k > f.cfg.WarmEpochs {
-			// Boundary k's elasticity pass precedes epoch k's routing,
-			// exactly as in lockstep: migrations commit and replicas
-			// scale before the epoch's arrivals are placed.
+			// Boundary k's elasticity pass precedes epoch k's routing:
+			// migrations commit and replicas scale before the epoch's
+			// arrivals are placed.
 			if err := f.elasticityBarrier(k); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		var stats [][]core.VMStat
@@ -216,7 +228,7 @@ func (f *asyncFleet) route() error {
 			}
 			if f.failErr != nil {
 				f.mu.Unlock()
-				return f.failErr
+				return nil, f.failErr
 			}
 			stats, committed = f.gatherLocked(b)
 			f.mu.Unlock()
@@ -227,7 +239,7 @@ func (f *asyncFleet) route() error {
 			f.failLocked(err, k, -1)
 			f.mu.Unlock()
 			f.pool.WakeAll()
-			return err
+			return nil, err
 		}
 		if batches != nil {
 			for i := range f.hosts {
@@ -239,32 +251,39 @@ func (f *asyncFleet) route() error {
 		f.mu.Unlock()
 		f.pool.WakeAll()
 	}
-	if tel {
+	// A run with a stop boundary ends there: the hosts park at it, with
+	// none of the horizon's boundary work or the drain ahead of them.
+	drain := f.end > f.last
+	if drain && tel {
 		// The horizon boundary's collection epoch (end of the last churn
 		// epoch), before any host starts draining.
 		if err := f.collectBoundary(f.last, f.plan.ends[f.last-1]); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	if f.rt.el != nil && f.last > f.cfg.WarmEpochs {
+	if drain && f.rt.el != nil && f.last > f.cfg.WarmEpochs {
 		// The horizon boundary's elasticity pass (commits only — no new
 		// migrations or replicas start with no epoch left to run them).
 		if err := f.elasticityBarrier(f.last); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	f.mu.Lock()
-	for f.minDone <= f.last && f.failErr == nil {
+	for f.minDone < f.end && f.failErr == nil {
 		f.cond.Wait()
 	}
 	err := f.failErr
+	var ring []RingBoundary
+	if err == nil && !drain {
+		ring = f.ringLocked(f.end)
+	}
 	f.mu.Unlock()
-	if err != nil {
-		return err
+	if err != nil || !drain {
+		return ring, err
 	}
 	// Terminal collection epoch on the fully drained fleet.
 	collectTelemetry(f.cfg.Telemetry, f.cfg.Horizon+f.cfg.Drain, f.hosts, f.res, f.cfg.SLO, f.rt)
-	return nil
+	return nil, nil
 }
 
 // elasticityBarrier waits until every host is parked at boundary k
@@ -361,10 +380,12 @@ func (f *asyncFleet) captureBarrier() error {
 }
 
 // ringLocked assembles the retained placement-snapshot window at a
-// capture boundary b — the bounded-lag analogue of ringBoundaries. The
-// snaps maps still hold every needed boundary in [b-lag, b]: an entry
-// at x is consumed by arrival epoch x+lag >= b, which is not yet
-// routed. Entries are copied, not consumed.
+// capture boundary b: the boundaries in [max(1, b-lag), b] that some
+// arrival epoch at or past b places with. (Older needed boundaries were
+// already consumed, and boundary 0, the empty fleet, is implicit.) The
+// snaps maps still hold every one of them: an entry at x is consumed by
+// arrival epoch x+lag >= b, which is not yet routed. Entries are
+// copied, not consumed.
 func (f *asyncFleet) ringLocked(b int) []RingBoundary {
 	var out []RingBoundary
 	lo := b - f.rt.lag
@@ -417,7 +438,7 @@ func (f *asyncFleet) advance(i int) {
 	h := f.hosts[i]
 	for {
 		f.mu.Lock()
-		if f.failErr != nil || f.done[i] > f.last {
+		if f.failErr != nil || f.done[i] >= f.end {
 			f.mu.Unlock()
 			return
 		}
@@ -477,16 +498,17 @@ func (f *asyncFleet) advance(i int) {
 		if k < f.last {
 			h.scheduleRouted(f.batches[i][k])
 			if quiesceBefore(f.cfg, k) {
-				// After the batch, matching lockstep's engine event order.
+				// After the batch: the quiesce event follows the epoch's
+				// churn in engine order.
 				h.ScheduleQuiesce(f.plan.starts[k])
 			}
 			if err = h.RunEpoch(f.plan.ends[k]); err == nil {
 				snap = h.Snapshot(f.plan.ends[k] - f.plan.starts[k])
 				committed = h.CommittedVCPUs()
-				if f.cfg.WarmEpochs > 0 && k+1 == f.cfg.WarmEpochs {
+				if f.cfg.WarmEpochs > 0 && k+1 == f.cfg.WarmEpochs && k+1 < f.end {
 					// The warm boundary: arm the mechanisms and resume the
-					// load before publishing done = k+1 — the same
-					// Snapshot-then-Arm order lockstep uses at its barrier.
+					// load (Snapshot, then Arm) before publishing done =
+					// k+1. A warm-prefix run stops here disarmed instead.
 					h.Arm()
 				}
 			}

@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"fmt"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 )
 
 // assertSameResult compares two FleetResults field for field (the
@@ -21,113 +18,12 @@ func assertSameResult(t *testing.T, label string, want, got FleetResult) {
 	}
 }
 
-// TestLockstepBoundedLagIdentical is the differential check behind the
-// whole refactor: for every policy, several seeds and both worker
-// counts, the bounded-lag executor must reproduce the lockstep
-// executor's FleetResult exactly.
-func TestLockstepBoundedLagIdentical(t *testing.T) {
-	for _, policy := range PolicyNames() {
-		for _, seed := range []uint64{11, 23, 97} {
-			cfg := smallFleet(policy, 1)
-			cfg.Seed = seed
-			events := GenTrace(DefaultTraceConfig(cfg.Horizon), seed)
-
-			lcfg := cfg
-			lcfg.Sync = SyncLockstep
-			want, err := RunFleet(lcfg, events)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4} {
-				bcfg := cfg
-				bcfg.Sync = SyncBoundedLag
-				bcfg.Workers = workers
-				got, err := RunFleet(bcfg, events)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameResult(t, fmt.Sprintf("%s seed=%d workers=%d", policy, seed, workers), want, got)
-			}
-		}
-	}
-}
-
-// TestBoundedLagStarvedHost slows one host far below the rest: the
-// fleet must actually run ahead of it (asynchrony), never beyond the
-// lag bound, and still produce the lockstep answer.
-func TestBoundedLagStarvedHost(t *testing.T) {
-	var mu sync.Mutex
-	cur := map[int]int{}
-	maxSkew := 0
-	testEpochHook = func(host, epoch int) {
-		mu.Lock()
-		cur[host] = epoch
-		if len(cur) == 2 {
-			if skew := cur[1] - cur[0]; skew > maxSkew {
-				maxSkew = skew
-			}
-		}
-		mu.Unlock()
-		if host == 0 {
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	defer func() { testEpochHook = nil }()
-
-	cfg := smallFleet("vscale", 4)
-	events := GenTrace(DefaultTraceConfig(cfg.Horizon), cfg.Seed)
-	got, err := RunFleet(cfg, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	testEpochHook = nil
-
-	lcfg := smallFleet("vscale", 1)
-	lcfg.Sync = SyncLockstep
-	want, err := RunFleet(lcfg, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "starved host", want, got)
-
-	// cur[i] is the last epoch host i *started*, so host 1 may lead the
-	// straggler's start by lag+1 (the straggler's done count can be one
-	// past its recorded start), never more.
-	if maxSkew > cfg.lag()+1 {
-		t.Fatalf("lag bound violated: host 1 ran %d epochs ahead of the straggler (lag %d)", maxSkew, cfg.lag())
-	}
-	if maxSkew < 2 {
-		t.Fatalf("no run-ahead observed (max skew %d); executor appears lockstepped", maxSkew)
-	}
-}
-
-// TestParseSyncMode pins the flag surface both CLIs share.
-func TestParseSyncMode(t *testing.T) {
-	for in, want := range map[string]SyncMode{
-		"":           SyncBoundedLag,
-		"boundedlag": SyncBoundedLag,
-		"lockstep":   SyncLockstep,
-	} {
-		got, err := ParseSyncMode(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseSyncMode(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseSyncMode("warp"); err == nil {
-		t.Fatal("ParseSyncMode(warp): want error")
-	}
-}
-
 // TestRunFleetRejectsNegativeLag pins config validation.
 func TestRunFleetRejectsNegativeLag(t *testing.T) {
 	cfg := smallFleet("static", 0)
 	cfg.LagEpochs = -1
 	if _, err := RunFleet(cfg, nil); err == nil {
 		t.Fatal("RunFleet with negative LagEpochs: want error")
-	}
-	cfg.Sync = SyncMode("warp")
-	if _, err := RunFleet(cfg, nil); err == nil {
-		t.Fatal("RunFleet with unknown sync mode: want error")
 	}
 }
 

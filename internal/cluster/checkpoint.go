@@ -162,7 +162,7 @@ func checkpointableLabel(label string) bool {
 // CaptureState exports the host's semantic state. The host must be
 // parked at an epoch boundary, fully drained (the quiesce barrier ran
 // one epoch earlier), and its accounting synced by the boundary
-// Snapshot — the executors guarantee all three. Capture is read-only:
+// Snapshot — the executor guarantees all three. Capture is read-only:
 // a run that captures and continues is byte-identical to one that
 // never captured.
 func (h *Host) CaptureState() (HostCheckpoint, error) {
@@ -300,8 +300,8 @@ func RestoreHost(id int, cfg HostConfig, cp HostCheckpoint) (*Host, error) {
 
 // captureFleet assembles a fleet snapshot from hosts parked at an
 // epoch boundary. ringCPs is the retained placement-snapshot window
-// (ringBoundaries); pols supplies Checkpointable control state on
-// armed captures.
+// (asyncFleet.ringLocked); pols supplies Checkpointable control state
+// on armed captures.
 func captureFleet(cfg *FleetConfig, hosts []*Host, pols []ScalingPolicy, rt *fleetRouter, res *FleetResult, ringCPs []RingBoundary, boundary int, now sim.Time) (*FleetCheckpoint, error) {
 	armed := hosts[0].armed
 	cp := &FleetCheckpoint{
@@ -525,32 +525,6 @@ func (cp *FleetCheckpoint) validateAgainst(cfg *FleetConfig, plan *epochPlan) er
 	return nil
 }
 
-// ringBoundaries extracts the retained placement-snapshot window at a
-// capture boundary b from the lockstep ring: boundaries in
-// [max(1, b-lag), b] that some post-restore arrival epoch places with.
-// (Older needed boundaries were already consumed — an arrival epoch
-// k < b placed with them — and boundary 0, the empty fleet, is
-// implicit.)
-func ringBoundaries(ring *snapRing, rt *fleetRouter, b int) []RingBoundary {
-	var out []RingBoundary
-	lo := b - rt.lag
-	if lo < 1 {
-		lo = 1
-	}
-	for x := lo; x <= b; x++ {
-		if !rt.needBoundary(x) {
-			continue
-		}
-		stats, committed := ring.at(x)
-		out = append(out, RingBoundary{
-			Boundary:  x,
-			Stats:     stats,
-			Committed: append([]int(nil), committed...),
-		})
-	}
-	return out
-}
-
 // restoreRouter overwrites a fresh router (and the result's churn
 // counters) from a capture. probes/committedExtra stay empty: the next
 // arrival epoch's advanceBase recomputes both from the probe log, as
@@ -579,7 +553,7 @@ func restoreRouter(rt *fleetRouter, res *FleetResult, rc RouterCheckpoint) {
 // from; cfg.Policy is irrelevant to the prefix (mechanisms are off and
 // no policy pass runs) and is not recorded.
 func CaptureWarmPrefix(cfg FleetConfig, events []Event) (*FleetCheckpoint, error) {
-	plan, _, err := prepareFleet(&cfg, events)
+	plan, err := prepareFleet(&cfg, events)
 	if err != nil {
 		return nil, err
 	}
@@ -602,12 +576,12 @@ func CaptureWarmPrefix(cfg FleetConfig, events []Event) (*FleetCheckpoint, error
 	if rt.el != nil {
 		rt.el.attachHosts(hosts)
 	}
-	ring := newSnapRing(cfg.Hosts, rt.lag)
-	if err := runLockstep(&cfg, plan, hosts, pols, rt, &res, ring, 0, cfg.WarmEpochs); err != nil {
+	b := cfg.WarmEpochs
+	ring, err := runBoundedLag(&cfg, plan, hosts, pols, rt, &res, 0, b, nil)
+	if err != nil {
 		return nil, err
 	}
-	b := cfg.WarmEpochs
-	return captureFleet(&cfg, hosts, pols, rt, &res, ringBoundaries(ring, rt, b), b, plan.ends[b-1])
+	return captureFleet(&cfg, hosts, pols, rt, &res, ring, b, plan.ends[b-1])
 }
 
 // RunFleetFork restores a fleet from a snapshot and runs it to
@@ -615,10 +589,10 @@ func CaptureWarmPrefix(cfg FleetConfig, events []Event) (*FleetCheckpoint, error
 // half of warm-fork: mechanisms arm per cfg.Policy at the boundary and
 // the measured window begins; for an armed mid-run capture cfg.Policy
 // must match the capture and the run simply resumes. Either way the
-// suffix runs under cfg.Sync/cfg.Workers and the result is
-// byte-identical to the straight-through run with the same barriers.
+// suffix runs under cfg.Workers and the result is byte-identical to
+// the straight-through run with the same barriers.
 func RunFleetFork(cfg FleetConfig, events []Event, cp *FleetCheckpoint) (FleetResult, error) {
-	plan, sync, err := prepareFleet(&cfg, events)
+	plan, err := prepareFleet(&cfg, events)
 	if err != nil {
 		return FleetResult{}, err
 	}
@@ -687,20 +661,7 @@ func RunFleetFork(cfg FleetConfig, events []Event, cp *FleetCheckpoint) (FleetRe
 		}
 	}
 
-	start := cp.Boundary
-	switch sync {
-	case SyncLockstep:
-		ring := newSnapRing(cfg.Hosts, rt.lag)
-		for _, rb := range cp.Ring {
-			for i := range hosts {
-				ring.set(rb.Boundary, i, rb.Stats[i], rb.Committed[i])
-			}
-		}
-		err = runLockstep(&cfg, plan, hosts, pols, rt, &res, ring, start, 0)
-	default:
-		err = runBoundedLag(&cfg, plan, hosts, pols, rt, &res, start, cp.Ring)
-	}
-	if err != nil {
+	if _, err := runBoundedLag(&cfg, plan, hosts, pols, rt, &res, cp.Boundary, 0, cp.Ring); err != nil {
 		return res, err
 	}
 	if err := aggregate(&cfg, hosts, &res); err != nil {

@@ -13,39 +13,36 @@ import (
 )
 
 // TestWarmForkIdentical is the correctness gate behind warm-fork: for
-// every policy, both sync modes, two seeds and both worker counts, the
-// forked run (shared warm prefix, restored at the warm boundary) must
-// reproduce the straight-through run's FleetResult exactly.
+// every policy, two seeds and both worker counts, the forked run
+// (shared warm prefix, restored at the warm boundary) must reproduce
+// the straight-through run's FleetResult exactly.
 func TestWarmForkIdentical(t *testing.T) {
 	const warm = 3
 	policies := PolicyNames()
-	for _, mode := range []SyncMode{SyncLockstep, SyncBoundedLag} {
-		for _, seed := range []uint64{11, 23} {
-			for _, workers := range []int{1, 4} {
-				cfg := smallFleet("", workers)
-				cfg.Seed = seed
-				cfg.Sync = mode
-				cfg.WarmEpochs = warm
-				events := GenTrace(DefaultTraceConfig(cfg.Horizon), seed)
+	for _, seed := range []uint64{11, 23} {
+		for _, workers := range []int{1, 4} {
+			cfg := smallFleet("", workers)
+			cfg.Seed = seed
+			cfg.WarmEpochs = warm
+			events := GenTrace(DefaultTraceConfig(cfg.Horizon), seed)
 
-				straight := make([]FleetResult, 0, len(policies))
-				for _, p := range policies {
-					scfg := cfg
-					scfg.Policy = p
-					r, err := RunFleet(scfg, events)
-					if err != nil {
-						t.Fatalf("straight %s: %v", p, err)
-					}
-					straight = append(straight, r)
-				}
-				forked, err := RunFleetWarmFork(cfg, events, policies, nil)
+			straight := make([]FleetResult, 0, len(policies))
+			for _, p := range policies {
+				scfg := cfg
+				scfg.Policy = p
+				r, err := RunFleet(scfg, events)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("straight %s: %v", p, err)
 				}
-				for i, p := range policies {
-					assertSameResult(t, fmt.Sprintf("%s %s seed=%d workers=%d", p, mode, seed, workers),
-						straight[i], forked[i])
-				}
+				straight = append(straight, r)
+			}
+			forked, err := RunFleetWarmFork(cfg, events, policies, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range policies {
+				assertSameResult(t, fmt.Sprintf("%s seed=%d workers=%d", p, seed, workers),
+					straight[i], forked[i])
 			}
 		}
 	}
@@ -92,22 +89,21 @@ func TestWarmForkTelemetryIdentical(t *testing.T) {
 }
 
 // TestCheckpointRestoreIdentical: capturing mid-run and restoring from
-// the file reproduces the capturing run's result exactly, in both sync
-// modes, for stateful (Checkpointable), daemon-driven and stateless
-// policies.
+// the file reproduces the capturing run's result exactly, at both
+// worker counts, for stateful (Checkpointable), daemon-driven and
+// stateless policies.
 func TestCheckpointRestoreIdentical(t *testing.T) {
-	for _, mode := range []SyncMode{SyncLockstep, SyncBoundedLag} {
+	for _, workers := range []int{1, 4} {
 		for _, policy := range []string{"pid", "predictive", "vscale", "static"} {
 			path := filepath.Join(t.TempDir(), "fleet.ckpt")
-			cfg := smallFleet(policy, 4)
-			cfg.Sync = mode
+			cfg := smallFleet(policy, workers)
 			cfg.CheckpointEpoch = 3
 			cfg.CheckpointPath = path
 			events := GenTrace(DefaultTraceConfig(cfg.Horizon), cfg.Seed)
 
 			want, err := RunFleet(cfg, events)
 			if err != nil {
-				t.Fatalf("%s %s capture run: %v", mode, policy, err)
+				t.Fatalf("workers=%d %s capture run: %v", workers, policy, err)
 			}
 			cp, err := LoadCheckpoint(path)
 			if err != nil {
@@ -118,25 +114,25 @@ func TestCheckpointRestoreIdentical(t *testing.T) {
 			rcfg.CheckpointPath = ""
 			got, err := RunFleetFork(rcfg, events, cp)
 			if err != nil {
-				t.Fatalf("%s %s restored run: %v", mode, policy, err)
+				t.Fatalf("workers=%d %s restored run: %v", workers, policy, err)
 			}
-			assertSameResult(t, fmt.Sprintf("%s %s restore", mode, policy), want, got)
+			assertSameResult(t, fmt.Sprintf("workers=%d %s restore", workers, policy), want, got)
 		}
 	}
 }
 
 // TestCheckpointCaptureIsReadOnly: a run that quiesces and captures at
 // an epoch boundary produces the same result whether or not the
-// snapshot is written (and in both sync modes).
+// snapshot is written (and at both worker counts).
 func TestCheckpointCaptureIsReadOnly(t *testing.T) {
 	base := smallFleet("pid", 2)
 	base.CheckpointEpoch = 4
 	events := GenTrace(DefaultTraceConfig(base.Horizon), base.Seed)
 	var ref *FleetResult
-	for _, mode := range []SyncMode{SyncLockstep, SyncBoundedLag} {
+	for _, workers := range []int{1, 4} {
 		for _, write := range []bool{false, true} {
 			cfg := base
-			cfg.Sync = mode
+			cfg.Workers = workers
 			if write {
 				cfg.CheckpointPath = filepath.Join(t.TempDir(), "fleet.ckpt")
 			}
@@ -148,7 +144,7 @@ func TestCheckpointCaptureIsReadOnly(t *testing.T) {
 				ref = &res
 				continue
 			}
-			assertSameResult(t, fmt.Sprintf("%s write=%v", mode, write), *ref, res)
+			assertSameResult(t, fmt.Sprintf("workers=%d write=%v", workers, write), *ref, res)
 		}
 	}
 }

@@ -17,10 +17,9 @@ import (
 // (scaling VM replicas per service against windowed SLO attainment).
 // Both run as control-plane passes at telemetry-barrier epochs, while
 // every host engine is parked at the boundary, so their decisions — and
-// the host mutations they commit — happen at identical points in the
-// lockstep and bounded-lag executors and the results stay
-// byte-identical across sync modes and worker counts
-// (docs/cluster.md).
+// the host mutations they commit — happen at the same point of every
+// host's timeline and the results stay byte-identical across worker
+// counts (docs/cluster.md).
 
 // MigrationConfig enables the rebalance/consolidate migration pass.
 type MigrationConfig struct {
@@ -252,7 +251,7 @@ func (el *elasticity) mode() string {
 }
 
 // observeEvent is the router's bookkeeping hook, called as each churn
-// event is routed (identically in both executors): it keeps the
+// event is routed: it keeps the
 // rate/size maps current and registers service anchors.
 func (el *elasticity) observeEvent(ev Event, host, k int) {
 	switch ev.Kind {

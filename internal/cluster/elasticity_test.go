@@ -61,38 +61,10 @@ func TestElasticitySmoke(t *testing.T) {
 	}
 }
 
-// TestElasticityLockstepBoundedLagIdentical extends the executor
-// differential to the elasticity layer: with migrations and replica
-// scaling on, the bounded-lag executor must still reproduce lockstep
-// byte for byte at every worker count.
-func TestElasticityLockstepBoundedLagIdentical(t *testing.T) {
-	for _, mode := range []string{"migrate", "replicas", "hybrid"} {
-		cfg := elasticFleet(t, mode, 1)
-		events := GenTrace(elasticTraceConfig(cfg.Horizon), cfg.Seed)
-
-		lcfg := cfg
-		lcfg.Sync = SyncLockstep
-		want, err := RunFleet(lcfg, events)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 4} {
-			bcfg := cfg
-			bcfg.Sync = SyncBoundedLag
-			bcfg.Workers = workers
-			got, err := RunFleet(bcfg, events)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResult(t, fmt.Sprintf("%s workers=%d", mode, workers), want, got)
-		}
-	}
-}
-
 // TestElasticityWarmForkIdentical checks the fork half of warm-fork
 // with the elasticity layer on: a fleet forked from the shared warm
-// checkpoint must match the straight-through run exactly, in both sync
-// modes.
+// checkpoint must match the straight-through run exactly, at both
+// worker counts.
 func TestElasticityWarmForkIdentical(t *testing.T) {
 	cfg := elasticFleet(t, "hybrid", 1)
 	cfg.WarmEpochs = 2
@@ -113,14 +85,14 @@ func TestElasticityWarmForkIdentical(t *testing.T) {
 	if cp.Elasticity == nil {
 		t.Fatal("warm capture of an elasticity-enabled run carries no elasticity state")
 	}
-	for _, sync := range []SyncMode{SyncLockstep, SyncBoundedLag} {
+	for _, workers := range []int{1, 4} {
 		fcfg := cfg
-		fcfg.Sync = sync
+		fcfg.Workers = workers
 		got, err := RunFleetFork(fcfg, events, cp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResult(t, fmt.Sprintf("warm fork %s", sync), straight, got)
+		assertSameResult(t, fmt.Sprintf("warm fork workers=%d", workers), straight, got)
 	}
 }
 
@@ -165,14 +137,14 @@ func TestElasticityCheckpointRestoreIdentical(t *testing.T) {
 	if len(ecp.Inflight) == 0 {
 		t.Error("no migration in flight at the capture boundary; pick a boundary that straddles one")
 	}
-	for _, sync := range []SyncMode{SyncLockstep, SyncBoundedLag} {
+	for _, workers := range []int{1, 4} {
 		fcfg := cfg
-		fcfg.Sync = sync
+		fcfg.Workers = workers
 		got, err := RunFleetFork(fcfg, events, cp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResult(t, fmt.Sprintf("mid-run fork %s", sync), want, got)
+		assertSameResult(t, fmt.Sprintf("mid-run fork workers=%d", workers), want, got)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // epochPlan precomputes the fleet's epoch grid and buckets the churn
-// trace by epoch, so both executors walk the same timeline: epoch k
+// trace by epoch, so every run of a fleet walks the same timeline: epoch k
 // spans [starts[k], ends[k]) and owns the events with At in that range.
 // Events at or beyond the horizon are dropped (they could never fire).
 type epochPlan struct {
@@ -87,8 +87,8 @@ type placedProbe struct {
 // original same-epoch probe accumulation) and with the committed-vCPU
 // tie-break corrected for placements in [base(k), k). The router's
 // decisions are a pure function of the trace, the snapshots and the
-// bound — shared verbatim by both executors, which is what keeps their
-// results byte-identical.
+// bound — never of host scheduling, which is what keeps results
+// byte-identical at every worker count.
 type fleetRouter struct {
 	cfg    *FleetConfig
 	plan   *epochPlan
@@ -108,8 +108,7 @@ type fleetRouter struct {
 	// allocated once per run instead of once per collection epoch.
 	telHist *metrics.Histogram
 	// el, when non-nil, is the elasticity layer (migration + replica
-	// sets); the router feeds it every routed event, identically in
-	// both executors.
+	// sets); the router feeds it every routed event.
 	el *elasticity
 }
 
@@ -158,8 +157,8 @@ func (rt *fleetRouter) baseFor(k int) int {
 }
 
 // needBoundary reports whether some arrival epoch places with boundary
-// b's snapshot — the bounded-lag executor only publishes (and retains)
-// needed boundaries. Boundary 0 is the empty initial fleet and is never
+// b's snapshot — the executor only publishes (and retains) needed
+// boundaries. Boundary 0 is the empty initial fleet and is never
 // published.
 func (rt *fleetRouter) needBoundary(b int) bool {
 	if b <= 0 || b >= rt.plan.epochs() {
@@ -245,7 +244,7 @@ func (rt *fleetRouter) routeEpoch(k int, stats [][]core.VMStat, committed []int)
 // recomputes the committed-vCPU corrections: placements from epochs
 // [base, k) are running by epoch k but invisible to the base snapshot,
 // so they count toward the tie-break; same-epoch placements do not
-// (they are probes only), matching the original lockstep semantics.
+// (they are probes only).
 func (rt *fleetRouter) advanceBase(base, k int) {
 	for i := range rt.probeLog {
 		log := rt.probeLog[i][:0]
@@ -265,49 +264,4 @@ func (rt *fleetRouter) advanceBase(base, k int) {
 		rt.probes[i] = probes
 		rt.committedExtra[i] = extra
 	}
-}
-
-// snapRing retains the last lag+1 boundary snapshots of every host for
-// the lockstep executor. Boundary 0 (the empty initial fleet) is
-// preloaded.
-type snapRing struct {
-	depth     int
-	boundary  []int
-	stats     [][][]core.VMStat // [slot][host]
-	committed [][]int           // [slot][host]
-}
-
-func newSnapRing(hosts, lag int) *snapRing {
-	r := &snapRing{depth: lag + 1}
-	r.boundary = make([]int, r.depth)
-	r.stats = make([][][]core.VMStat, r.depth)
-	r.committed = make([][]int, r.depth)
-	for s := range r.boundary {
-		r.boundary[s] = -1
-		r.stats[s] = make([][]core.VMStat, hosts)
-		r.committed[s] = make([]int, hosts)
-	}
-	r.boundary[0] = 0 // boundary 0: empty fleet
-	return r
-}
-
-// set stores host i's snapshot at boundary b, overwriting the slot's
-// previous (now out-of-window) boundary.
-func (r *snapRing) set(b, host int, stats []core.VMStat, committed int) {
-	s := b % r.depth
-	if r.boundary[s] != b {
-		r.boundary[s] = b
-	}
-	r.stats[s][host] = stats
-	r.committed[s][host] = committed
-}
-
-// at returns the fleet snapshot at boundary b; the caller only asks for
-// boundaries within the retained window.
-func (r *snapRing) at(b int) ([][]core.VMStat, []int) {
-	s := b % r.depth
-	if r.boundary[s] != b {
-		panic(fmt.Sprintf("cluster: snapshot boundary %d evicted (slot holds %d)", b, r.boundary[s]))
-	}
-	return r.stats[s], r.committed[s]
 }

@@ -23,7 +23,6 @@ type FleetScaleResult struct {
 	PCPUsPerHost int
 	Horizon      sim.Time
 	SLO          sim.Time
-	Sync         cluster.SyncMode
 	// Fleets maps host count → the canonical FleetResult (identical at
 	// every worker count; FleetScale fails if not).
 	Fleets map[int]cluster.FleetResult
@@ -47,7 +46,7 @@ func sameFleetResult(a, b cluster.FleetResult) bool {
 // the same fleet once per worker count, timing each run and requiring
 // every result to match the workers=1 run exactly. Placement recording
 // is off: at a thousand hosts the per-VM log is dead weight.
-func FleetScale(opts runner.Options, hostCounts, workerSet []int, pcpus int, horizon, slo sim.Time, syncMode cluster.SyncMode, lag int) (FleetScaleResult, error) {
+func FleetScale(opts runner.Options, hostCounts, workerSet []int, pcpus int, horizon, slo sim.Time, lag int) (FleetScaleResult, error) {
 	if len(hostCounts) == 0 || len(workerSet) == 0 {
 		return FleetScaleResult{}, fmt.Errorf("fleetscale: need host counts and worker counts")
 	}
@@ -57,7 +56,6 @@ func FleetScale(opts runner.Options, hostCounts, workerSet []int, pcpus int, hor
 		PCPUsPerHost: pcpus,
 		Horizon:      horizon,
 		SLO:          slo,
-		Sync:         syncMode,
 		Fleets:       map[int]cluster.FleetResult{},
 		Wall:         map[int][]float64{},
 	}
@@ -81,7 +79,6 @@ func FleetScale(opts runner.Options, hostCounts, workerSet []int, pcpus int, hor
 				Horizon:          horizon,
 				SLO:              slo,
 				Workers:          w,
-				Sync:             syncMode,
 				LagEpochs:        lag,
 				RecordPlacements: &recordOff,
 				Report:           opts.Report,
@@ -126,8 +123,8 @@ func (r FleetScaleResult) Metrics() map[string]float64 {
 // statement. Wall clocks are deliberately absent — see Metrics.
 func (r FleetScaleResult) Render() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d pCPUs/host, %v churn horizon, SLO: reply within %v, sync=%s\n",
-		r.PCPUsPerHost, r.Horizon, r.SLO, r.Sync)
+	fmt.Fprintf(&sb, "%d pCPUs/host, %v churn horizon, SLO: reply within %v\n",
+		r.PCPUsPerHost, r.Horizon, r.SLO)
 	var ws []string
 	for _, w := range r.WorkerSet {
 		ws = append(ws, fmt.Sprintf("%d", w))

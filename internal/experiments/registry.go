@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 
-	"vscale/internal/cluster"
 	"vscale/internal/runner"
 	"vscale/internal/sim"
 	"vscale/internal/telemetry"
@@ -43,30 +42,9 @@ type Config struct {
 	// competes (registry names, see cluster.ParsePolicies); empty means
 	// every registered policy.
 	Policies []string
-	// Sync selects the cluster fleet executor ("" = bounded-lag; see
-	// cluster.ParseSyncMode). Results are byte-identical across modes.
-	Sync string
-	// LagEpochs bounds cluster placement staleness and host run-ahead
-	// (0 = cluster.DefaultLagEpochs).
-	LagEpochs int
-	// WarmEpochs gives every cluster fleet run a policy-neutral warm
-	// prefix of that many epochs (the warmfork experiment uses it to
-	// override its default warm length; 0 keeps the defaults).
-	WarmEpochs int
-	// WarmFork makes the cluster experiment simulate each host count's
-	// warm prefix once and fork every policy from the snapshot instead
-	// of re-simulating it per policy (requires WarmEpochs > 0).
-	WarmFork bool
-	// CheckpointPath persists the cluster experiment's warm-prefix
-	// snapshot to a file; RestorePath loads one instead of simulating
-	// the prefix. See ClusterWarm.
-	CheckpointPath string
-	RestorePath    string
-	// Elastic selects the cluster fleets' elasticity mode (see
-	// cluster.ElasticityFor): "" or "none"/"vertical" for the historical
-	// vertical-only fleets, "migrate"/"replicas"/"hybrid" to turn on
-	// live migration and/or ReplicaSet-style horizontal autoscaling.
-	Elastic string
+	// FleetFlags carries the cluster fleets' lag bound, warm prefix and
+	// elasticity mode (the CLI flags both tools share).
+	FleetFlags
 
 	mu      sync.Mutex
 	npb4    *npbMemo
@@ -464,17 +442,7 @@ func Registry() []Experiment {
 					hostCounts = []int{2}
 					horizon = 8 * sim.Second
 				}
-				syncMode, err := cluster.ParseSyncMode(c.Sync)
-				if err != nil {
-					return Result{}, fmt.Errorf("cluster: %w", err)
-				}
-				warm := ClusterWarm{
-					Epochs:         c.WarmEpochs,
-					Fork:           c.WarmFork,
-					CheckpointPath: c.CheckpointPath,
-					RestorePath:    c.RestorePath,
-				}
-				r, err := Cluster(c.opts(rep), c.Telemetry, hostCounts, 4, horizon, 50*sim.Millisecond, c.Policies, syncMode, c.LagEpochs, c.Elastic, warm)
+				r, err := Cluster(c.opts(rep), c.Telemetry, hostCounts, 4, horizon, 50*sim.Millisecond, c.Policies, c.LagEpochs, c.Elastic, c.Warm)
 				if err != nil {
 					return Result{}, fmt.Errorf("cluster: %w", err)
 				}
@@ -497,12 +465,8 @@ func Registry() []Experiment {
 				if c.Quick {
 					hostCounts = []int{10, 100}
 				}
-				syncMode, err := cluster.ParseSyncMode(c.Sync)
-				if err != nil {
-					return Result{}, fmt.Errorf("fleetscale: %w", err)
-				}
 				r, err := FleetScale(c.opts(rep), hostCounts, []int{1, 2, 4, 8}, 4,
-					2*sim.Second, 50*sim.Millisecond, syncMode, c.LagEpochs)
+					2*sim.Second, 50*sim.Millisecond, c.LagEpochs)
 				if err != nil {
 					return Result{}, fmt.Errorf("fleetscale: %w", err)
 				}
@@ -527,15 +491,11 @@ func Registry() []Experiment {
 					horizon = 10 * sim.Second
 					warmEpochs = 16
 				}
-				if c.WarmEpochs > 0 {
-					warmEpochs = c.WarmEpochs
-				}
-				syncMode, err := cluster.ParseSyncMode(c.Sync)
-				if err != nil {
-					return Result{}, fmt.Errorf("warmfork: %w", err)
+				if c.Warm.Epochs > 0 {
+					warmEpochs = c.Warm.Epochs
 				}
 				r, err := WarmFork(c.opts(rep), 2, 4, horizon, 50*sim.Millisecond,
-					warmEpochs, c.Policies, syncMode, c.LagEpochs)
+					warmEpochs, c.Policies, c.LagEpochs)
 				if err != nil {
 					return Result{}, err
 				}
@@ -559,15 +519,11 @@ func Registry() []Experiment {
 				// that separates the arms).
 				horizon := 16 * sim.Second
 				warmEpochs := 8
-				if c.WarmEpochs > 0 {
-					warmEpochs = c.WarmEpochs
-				}
-				syncMode, err := cluster.ParseSyncMode(c.Sync)
-				if err != nil {
-					return Result{}, fmt.Errorf("bakeoff: %w", err)
+				if c.Warm.Epochs > 0 {
+					warmEpochs = c.Warm.Epochs
 				}
 				r, err := Bakeoff(c.opts(rep), c.Telemetry, 4, 4, horizon, 50*sim.Millisecond,
-					warmEpochs, syncMode, c.LagEpochs)
+					warmEpochs, c.LagEpochs)
 				if err != nil {
 					return Result{}, err
 				}
