@@ -38,9 +38,10 @@ race:
 # cost-vs-attainment frontier over time, plus the elasticity bake-off
 # (vertical vs horizontal vs hybrid arms, each with cost, attainment,
 # migration and replica counts under "bakeoff/<arm>/..."). bench-sim records the
-# event-core microbenchmarks plus the end-to-end fleet-executor and
-# checkpoint/restore benchmarks as ns/op + allocs/op in BENCH_sim.json
-# (schema vscale-simbench/v1).
+# event-core microbenchmarks, the guest segment-path and httpd request-path
+# microbenchmarks, and the end-to-end fleet-executor and checkpoint/restore
+# benchmarks as ns/op + allocs/op in BENCH_sim.json (schema
+# vscale-simbench/v1), each tagged with its package.
 bench: bench-cluster bench-sim
 	go run ./cmd/vscale-experiments -quick -benchworkers 1,2,4 -benchjson BENCH_experiments.json >/dev/null
 
@@ -49,4 +50,6 @@ bench-cluster:
 
 bench-sim:
 	{ go test -run='^$$' -bench=. -benchmem ./internal/sim/... ; \
+	  go test -run='^$$' -bench='^BenchmarkGuestSegment$$' -benchmem ./internal/guest/ ; \
+	  go test -run='^$$' -bench='^BenchmarkHTTPDRequest$$' -benchmem ./internal/workload/httpd/ ; \
 	  go test -run='^$$' -bench='^Benchmark(RunFleet|CheckpointRestore)$$' -benchmem . ; } | go run ./cmd/vscale-simbench -o BENCH_sim.json

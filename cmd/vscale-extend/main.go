@@ -53,7 +53,7 @@ func main() {
 		stats = append(stats, st)
 	}
 
-	res := core.ComputeExtendability(stats, *pcpus, period)
+	res := core.ComputeExtendability(nil, stats, *pcpus, period)
 	t := report.NewTable(
 		fmt.Sprintf("CPU extendability (P=%d, t=%v)", *pcpus, period),
 		"VM", "role", "fair share (pCPUs)", "extendability (pCPUs)", "optimal vCPUs")

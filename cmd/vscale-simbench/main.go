@@ -11,7 +11,9 @@
 //	BenchmarkName-8   12345678   90.12 ns/op   0 B/op   0 allocs/op
 //
 // plus the goos/goarch/pkg/cpu header lines, which are carried into the
-// JSON for provenance. Unrecognized lines (PASS, ok ...) pass through to
+// JSON for provenance. The input may concatenate several packages' runs:
+// each benchmark records the package of the most recent pkg: line above
+// it. Unrecognized lines (PASS, ok ...) pass through to
 // stderr so failures stay visible in the make output.
 package main
 
@@ -20,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -27,6 +30,7 @@ import (
 
 type benchmark struct {
 	Name        string  `json:"name"`
+	Package     string  `json:"package"`
 	Procs       int     `json:"procs"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -38,7 +42,6 @@ type benchFile struct {
 	Schema     string      `json:"schema"`
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
-	Package    string      `json:"package,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []benchmark `json:"benchmarks"`
 }
@@ -47,30 +50,8 @@ func main() {
 	out := flag.String("o", "BENCH_sim.json", "output JSON path")
 	flag.Parse()
 
-	bf := benchFile{Schema: "vscale-simbench/v1"}
-	sc := bufio.NewScanner(os.Stdin)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			bf.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			bf.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "pkg:"):
-			bf.Package = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-		case strings.HasPrefix(line, "cpu:"):
-			bf.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		case strings.HasPrefix(line, "Benchmark"):
-			if b, ok := parseBench(line); ok {
-				bf.Benchmarks = append(bf.Benchmarks, b)
-			} else {
-				fmt.Fprintln(os.Stderr, line)
-			}
-		default:
-			fmt.Fprintln(os.Stderr, line)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	bf, err := parse(os.Stdin, os.Stderr)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -89,6 +70,38 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d benchmark results to %s\n", len(bf.Benchmarks), *out)
+}
+
+// parse reads concatenated `go test -bench` output. Benchmark lines
+// become entries tagged with the package of the latest pkg: line;
+// lines it does not understand are copied to passthrough.
+func parse(r io.Reader, passthrough io.Writer) (benchFile, error) {
+	bf := benchFile{Schema: "vscale-simbench/v1"}
+	pkg := ""
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "goos:"):
+			bf.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
+		case strings.HasPrefix(line, "goarch:"):
+			bf.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+		case strings.HasPrefix(line, "pkg:"):
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+		case strings.HasPrefix(line, "cpu:"):
+			bf.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case strings.HasPrefix(line, "Benchmark"):
+			if b, ok := parseBench(line); ok {
+				b.Package = pkg
+				bf.Benchmarks = append(bf.Benchmarks, b)
+			} else {
+				fmt.Fprintln(passthrough, line)
+			}
+		default:
+			fmt.Fprintln(passthrough, line)
+		}
+	}
+	return bf, sc.Err()
 }
 
 // parseBench decodes one benchmark result line into its measurements.

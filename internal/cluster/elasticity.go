@@ -188,7 +188,7 @@ type elasticity struct {
 	// Reusable pickHost inputs for boundary-time (probe-free) placement.
 	noProbes  [][]core.VMStat
 	zeroExtra []int
-	scratch   []core.VMStat
+	scratch   placementScratch
 	statsBuf  [][]core.VMStat
 	commBuf   []int
 }

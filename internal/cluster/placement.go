@@ -33,12 +33,12 @@ func probeStat(vcpus, pcpus int, epoch sim.Time) core.VMStat {
 // that boundary), plus the newcomer's probe. Ties break toward fewer
 // committed vCPUs (committed[i]+committedExtra[i], the snapshot value
 // corrected for placements since), then the lower host index, so
-// placement is deterministic. scratch is the reusable candidate buffer.
-func pickHost(pcpus int, epoch sim.Time, stats, probes [][]core.VMStat, committed []int, committedExtra []int, vcpus int, scratch *[]core.VMStat) int {
+// placement is deterministic. scratch holds the reusable buffers.
+func pickHost(pcpus int, epoch sim.Time, stats, probes [][]core.VMStat, committed []int, committedExtra []int, vcpus int, scratch *placementScratch) int {
 	best := 0
 	bestExtend := sim.Time(-1)
 	newProbe := probeStat(vcpus, pcpus, epoch)
-	cand := *scratch
+	cand, res := scratch.cand, scratch.res
 	for i := range probes {
 		var base []core.VMStat
 		var comm int
@@ -54,7 +54,7 @@ func pickHost(pcpus int, epoch sim.Time, stats, probes [][]core.VMStat, committe
 		cand = append(cand, base...)
 		cand = append(cand, probes[i]...)
 		cand = append(cand, newProbe)
-		res := core.ComputeExtendability(cand, pcpus, epoch)
+		res = core.ComputeExtendability(res[:0], cand, pcpus, epoch)
 		extend := res[len(res)-1].Extend
 		switch {
 		case extend > bestExtend:
@@ -69,6 +69,13 @@ func pickHost(pcpus int, epoch sim.Time, stats, probes [][]core.VMStat, committe
 			}
 		}
 	}
-	*scratch = cand
+	scratch.cand, scratch.res = cand, res
 	return best
+}
+
+// placementScratch is pickHost's candidate and result buffers, reused
+// across placements.
+type placementScratch struct {
+	cand []core.VMStat
+	res  []core.Extendability
 }

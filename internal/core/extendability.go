@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"vscale/internal/sim"
 )
@@ -88,7 +89,9 @@ func ceilDivEps(a, b float64) int {
 // ComputeExtendability implements Algorithm 1 of the paper. Given the
 // per-VM stats for one period of length t over a pool of P pCPUs, it
 // computes each VM's fair share, CPU extendability and optimal vCPU
-// count.
+// count, appends one result per VM (in input order) to dst and returns
+// the extended slice. Periodic callers pass a reused buffer's [:0] to
+// avoid allocating; pass nil for a fresh slice.
 //
 // VMs that under-used their fair allocation (releasers) contribute the
 // difference to a machine-wide slack; their extendability is pinned to
@@ -101,7 +104,7 @@ func ceilDivEps(a, b float64) int {
 //
 // It panics if P <= 0, t <= 0, or any weight is non-positive, since those
 // are configuration errors.
-func ComputeExtendability(vms []VMStat, P int, t sim.Time) []Extendability {
+func ComputeExtendability(dst []Extendability, vms []VMStat, P int, t sim.Time) []Extendability {
 	if P <= 0 {
 		panic(fmt.Sprintf("core: non-positive pool size %d", P))
 	}
@@ -109,7 +112,7 @@ func ComputeExtendability(vms []VMStat, P int, t sim.Time) []Extendability {
 		panic(fmt.Sprintf("core: non-positive period %v", t))
 	}
 	if len(vms) == 0 {
-		return nil
+		return dst
 	}
 
 	var totalWeight float64
@@ -123,7 +126,9 @@ func ComputeExtendability(vms []VMStat, P int, t sim.Time) []Extendability {
 	period := float64(t)
 	poolTime := period * float64(P)
 
-	out := make([]Extendability, len(vms))
+	n := len(dst)
+	dst = slices.Grow(dst, len(vms))[:n+len(vms)]
+	out := dst[n:]
 	var slack float64 // c_slack: unused CPU capacity this period
 	var competitorWeight float64
 
@@ -152,7 +157,7 @@ func ComputeExtendability(vms []VMStat, P int, t sim.Time) []Extendability {
 		out[i].Extend = clampExtend(out[i].Extend, vm, t)
 		out[i].OptimalVCPUs = optimalVCPUs(out[i].Extend, vm, t)
 	}
-	return out
+	return dst
 }
 
 // clampExtend applies the VM's reservation (lower bound) and cap (upper

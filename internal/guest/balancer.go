@@ -110,8 +110,7 @@ func (k *Kernel) drainFrozen(c *cpu) bool {
 		}
 	}
 	for len(c.rq) > 0 {
-		t := c.rq[0]
-		c.rq = c.rq[1:]
+		t := popFront(&c.rq)
 		if t.Kind.Migratable() {
 			migrate(t)
 		} else {

@@ -110,8 +110,7 @@ func (k *Kernel) releaseKernelLock(c *cpu, l *KernelLock) {
 	if len(l.waiters) == 0 {
 		return
 	}
-	next := l.waiters[0]
-	l.waiters = l.waiters[1:]
+	next := popFront(&l.waiters)
 	l.holder = next
 	l.heldSince = now
 	next.locksHeld++
@@ -132,13 +131,13 @@ func (k *Kernel) grantKernelLock(c *cpu) {
 		c.current.kspinGranted = true
 		return
 	}
-	if c.running && c.segEv.Pending() && c.current != nil && c.current.segKind == segKernelSpin {
-		// Spinning right now: stop the spin and proceed.
-		k.pauseSegment(c)
+	if c.running && c.seg.Armed() && c.current != nil && c.current.segKind == segKernelSpin {
+		// Spinning right now: cut the spin short and proceed.
+		k.creditSegment(c)
 		c.current.segRemaining = 0
 		c.current.segKind = segWork
 		c.current.kspinGranted = true
-		k.startSegment(c)
+		k.armSegment(c)
 		return
 	}
 	// The waiter's vCPU is preempted while spinning; it proceeds when
@@ -179,8 +178,7 @@ func (k *Kernel) futexWakeAll(c *cpu, key uint64, n int) int {
 	q := k.futexQ(key)
 	woken := 0
 	for len(q.waiters) > 0 && (n < 0 || woken < n) {
-		t := q.waiters[0]
-		q.waiters = q.waiters[1:]
+		t := popFront(&q.waiters)
 		k.wakeThread(t, c.id)
 		woken++
 		k.FutexWakes++

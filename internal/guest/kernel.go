@@ -124,8 +124,11 @@ type cpu struct {
 
 	running bool // vCPU currently holds a pCPU
 
-	// Segment execution state for the current thread.
-	segEv    sim.EventRef
+	// Segment execution state for the current thread. seg is armed
+	// exactly while a segment is in flight; its callback reads
+	// c.current, which is always the thread the segment was armed for
+	// because every path that changes current pauses the segment first.
+	seg      *sim.Timer
 	segStart sim.Time
 
 	tick      *sim.Timer
@@ -151,10 +154,11 @@ type cpu struct {
 	// (for the pv threshold and spin-time accounting).
 	kspinSpun sim.Time
 
-	idleBlock sim.EventRef
-
-	// needResched marks a pending deferred wakeup-preemption check.
-	needResched bool
+	// idleBlock is the deferred block-in-hypervisor step of goIdle.
+	idleBlock *sim.Timer
+	// resched is the pending deferred wakeup-preemption check (the
+	// kernel's need_resched); armed means the flag is set.
+	resched *sim.Timer
 
 	// locksHeld counts kernel locks currently held by this CPU; being
 	// descheduled with locksHeld > 0 is a lock-holder preemption.
@@ -257,8 +261,10 @@ func NewKernel(dom *xen.Domain, cfg Config) *Kernel {
 	}
 	for i := 0; i < dom.VCPUCount(); i++ {
 		c := &cpu{k: k, id: i, vcpu: dom.VCPU(i), timesliceLeft: cfg.Timeslice}
-		cc := c
-		c.tick = sim.NewTimer(k.eng, fmt.Sprintf("guest/%s/tick%d", dom.Name, i), func() { k.tickFire(cc) })
+		c.tick = sim.NewTimer(k.eng, fmt.Sprintf("guest/%s/tick%d", dom.Name, i), func() { k.tickFire(c) })
+		c.seg = sim.NewTimer(k.eng, "guest/seg", func() { k.segmentDone(c) })
+		c.idleBlock = sim.NewTimer(k.eng, "guest/idle-block", func() { k.idleBlockFire(c) })
+		c.resched = sim.NewTimer(k.eng, "guest/need-resched", func() { k.preemptNow(c) })
 		k.cpus = append(k.cpus, c)
 	}
 	if cfg.VScale.Enabled {
@@ -371,10 +377,7 @@ func (k *Kernel) Descheduled(id int) {
 	}
 	c.tick.Stop()
 	k.pauseSegment(c)
-	if c.idleBlock.Pending() {
-		k.eng.Cancel(c.idleBlock)
-		c.idleBlock = sim.EventRef{}
-	}
+	c.idleBlock.Stop()
 }
 
 // DeliverEvent implements xen.GuestOS: an event-channel upcall arrived
@@ -410,42 +413,49 @@ func (k *Kernel) DeliverEvent(id int, port *xen.Port) {
 
 // startSegment begins executing the current thread's remaining segment.
 func (k *Kernel) startSegment(c *cpu) {
-	t := c.current
-	if t == nil || !c.running {
+	if c.current == nil || !c.running {
 		return
 	}
-	if c.segEv.Pending() {
+	if c.seg.Armed() {
 		panic("guest: segment already armed")
 	}
+	k.armSegment(c)
+}
+
+// armSegment (re)starts the segment clock for the current thread's
+// remaining time. A segment still in flight is moved in place
+// (Timer.Reset), which books exactly the counters and FIFO order of a
+// cancel followed by a fresh arming.
+func (k *Kernel) armSegment(c *cpu) {
 	c.segStart = k.eng.Now()
-	d := t.segRemaining
-	if d < 0 {
-		d = 0
-	}
-	c.segEv = k.eng.After(d, "guest/seg", func() {
-		c.segEv = sim.EventRef{}
-		t.segRemaining = 0
-		k.segmentDone(c)
-	})
+	c.seg.Reset(max(c.current.segRemaining, 0))
 }
 
 // pauseSegment stops the clock on the current segment, crediting elapsed
 // execution to the thread.
 func (k *Kernel) pauseSegment(c *cpu) {
-	if !c.segEv.Pending() {
+	if !c.seg.Armed() {
 		return
 	}
-	k.eng.Cancel(c.segEv)
-	c.segEv = sim.EventRef{}
+	c.seg.Stop()
+	k.creditSegment(c)
+}
+
+// creditSegment charges the time the in-flight segment has run since it
+// was (re)armed to the current thread: its remaining work shrinks and
+// spin time is accounted. Callers either stop the segment or rearm it
+// in place right after.
+func (k *Kernel) creditSegment(c *cpu) {
 	t := c.current
-	elapsed := k.eng.Now() - c.segStart
-	if t != nil {
-		t.segRemaining -= elapsed
-		if t.segRemaining < 0 {
-			t.segRemaining = 0
-		}
-		k.accountSpin(c, t, elapsed)
+	if t == nil {
+		return
 	}
+	elapsed := k.eng.Now() - c.segStart
+	t.segRemaining -= elapsed
+	if t.segRemaining < 0 {
+		t.segRemaining = 0
+	}
+	k.accountSpin(c, t, elapsed)
 }
 
 // accountSpin attributes elapsed segment time to spin-time counters.
@@ -463,14 +473,14 @@ func (k *Kernel) accountSpin(c *cpu, t *Thread, elapsed sim.Time) {
 // stretching the in-flight segment (the interrupted thread resumes
 // later). On an idle CPU it is free (the idle task absorbs it).
 func (k *Kernel) chargeInterrupt(c *cpu, cost sim.Time) {
-	if cost <= 0 || !c.running || !c.segEv.Pending() {
+	if cost <= 0 || !c.running || !c.seg.Armed() {
 		return
 	}
-	// Account elapsed so far, then restart the segment with the cost
+	// Account elapsed so far, then rearm the segment with the cost
 	// prepended.
-	k.pauseSegment(c)
+	k.creditSegment(c)
 	c.current.segRemaining += cost
-	k.startSegment(c)
+	k.armSegment(c)
 }
 
 // segmentDone fires when the current thread finished its segment: run a
@@ -482,16 +492,10 @@ func (k *Kernel) segmentDone(c *cpu) {
 	if t == nil {
 		panic("guest: segment completed with no current thread")
 	}
+	t.segRemaining = 0
 	kind := t.segKind
-	elapsed := k.eng.Now() - c.segStart
+	k.accountSpin(c, t, k.eng.Now()-c.segStart)
 	t.segKind = segWork
-	switch kind {
-	case segUserSpin:
-		c.stats.UserSpinTime += elapsed
-	case segKernelSpin:
-		c.stats.KernelSpinTime += elapsed
-		c.kspinSpun += elapsed
-	}
 	if t.kspinGranted {
 		// A contended kernel-lock acquire finally succeeded.
 		t.kspinGranted = false
@@ -523,7 +527,7 @@ func (k *Kernel) runCont(c *cpu, t *Thread) {
 		// The continuation may have slept the thread or armed a new
 		// segment. If the thread is still current with nothing armed,
 		// arm whatever segment it set up (possibly zero-length).
-		if c.current == t && c.running && !c.segEv.Pending() && t.state == ThreadRunning {
+		if c.current == t && c.running && !c.seg.Armed() && t.state == ThreadRunning {
 			k.startSegment(c)
 		}
 		return
@@ -554,14 +558,12 @@ func (k *Kernel) resume(c *cpu) {
 		// Frozen CPU: evacuate everything (Algorithm 2, target side).
 		// Postponed while spinning on a kernel lock; the next dispatch
 		// retries. The reschedule IPI lands here via DeliverEvent.
-		if c.segEv.Pending() {
-			k.pauseSegment(c)
-		}
+		k.pauseSegment(c)
 		if k.drainFrozen(c) {
 			return
 		}
 	}
-	if c.segEv.Pending() {
+	if c.seg.Armed() {
 		return // already executing
 	}
 	if c.current != nil {
@@ -594,8 +596,7 @@ func (k *Kernel) pickNext(c *cpu) {
 		k.goIdle(c)
 		return
 	}
-	t := c.rq[0]
-	c.rq = c.rq[1:]
+	t := popFront(&c.rq)
 	c.current = t
 	t.state = ThreadRunning
 	t.wakePreempt = false
@@ -635,14 +636,9 @@ func (k *Kernel) idealSlice(c *cpu) sim.Time {
 // current thread's own action processing never context-switches the CPU
 // under the caller's feet.
 func (k *Kernel) maybePreempt(c *cpu) {
-	if c.needResched {
-		return
+	if !c.resched.Armed() {
+		c.resched.Reset(0)
 	}
-	c.needResched = true
-	k.eng.After(0, "guest/need-resched", func() {
-		c.needResched = false
-		k.preemptNow(c)
-	})
 }
 
 // preemptNow performs the deferred wakeup-preemption check.
@@ -658,7 +654,7 @@ func (k *Kernel) preemptNow(c *cpu) {
 	if cur.inKernelCritical() || cur.segKind == segKernelSpin {
 		return
 	}
-	if !c.segEv.Pending() {
+	if !c.seg.Armed() {
 		// Mid-transition (the current thread is between segments inside
 		// kernel machinery); leave it alone.
 		return
@@ -667,7 +663,7 @@ func (k *Kernel) preemptNow(c *cpu) {
 		return // wakeup granularity: don't thrash
 	}
 	// Find the first woken thread wanting to preempt and move it to the
-	// queue head.
+	// queue head, shifting the threads ahead of it back by one.
 	idx := -1
 	for i, t := range c.rq {
 		if t.wakePreempt {
@@ -679,8 +675,8 @@ func (k *Kernel) preemptNow(c *cpu) {
 		return
 	}
 	w := c.rq[idx]
-	c.rq = append(c.rq[:idx], c.rq[idx+1:]...)
-	c.rq = append([]*Thread{w}, c.rq...)
+	copy(c.rq[1:idx+1], c.rq[:idx])
+	c.rq[0] = w
 	k.pauseSegment(c)
 	cur.state = ThreadRunnable
 	c.rq = append(c.rq, cur)
@@ -709,24 +705,26 @@ func (k *Kernel) rotate(c *cpu) {
 func (k *Kernel) goIdle(c *cpu) {
 	c.tick.Stop()
 	k.armHWTimer(c)
-	if c.idleBlock.Pending() {
+	if !c.idleBlock.Armed() {
+		c.idleBlock.Reset(0)
+	}
+}
+
+// idleBlockFire is goIdle's deferred step: block the vCPU in the
+// hypervisor unless work arrived in the meantime.
+func (k *Kernel) idleBlockFire(c *cpu) {
+	if !c.running {
 		return
 	}
-	c.idleBlock = k.eng.After(0, "guest/idle-block", func() {
-		c.idleBlock = sim.EventRef{}
-		if !c.running {
-			return
-		}
-		if c.current != nil || len(c.rq) > 0 {
-			// Work arrived in the meantime; run it instead of blocking.
-			k.resume(c)
-			return
-		}
-		if k.allIdle() && k.onIdleAll != nil {
-			k.onIdleAll()
-		}
-		k.pool.Block(c.vcpu)
-	})
+	if c.current != nil || len(c.rq) > 0 {
+		// Work arrived in the meantime; run it instead of blocking.
+		k.resume(c)
+		return
+	}
+	if k.allIdle() && k.onIdleAll != nil {
+		k.onIdleAll()
+	}
+	k.pool.Block(c.vcpu)
 }
 
 func (k *Kernel) allIdle() bool {
@@ -807,8 +805,7 @@ func (k *Kernel) armHWTimer(c *cpu) {
 func (k *Kernel) processTimers(c *cpu) {
 	now := k.eng.Now()
 	for len(c.timers) > 0 && c.timers[0].at <= now {
-		e := c.timers[0]
-		c.timers = c.timers[1:]
+		e := popFront(&c.timers)
 		e.fn()
 	}
 	k.armHWTimer(c)
@@ -822,6 +819,19 @@ func (k *Kernel) deviceForPort(p *xen.Port) *Device {
 		}
 	}
 	return nil
+}
+
+// popFront removes and returns the head of a FIFO queue by shifting the
+// rest down, so the backing array is reused by later appends instead of
+// being resliced away one element at a time.
+func popFront[T any](q *[]T) T {
+	s := *q
+	head := s[0]
+	copy(s, s[1:])
+	var zero T
+	s[len(s)-1] = zero
+	*q = s[:len(s)-1]
+	return head
 }
 
 // softirq defers a hypervisor-visible side effect (IPI send, vCPU kick)

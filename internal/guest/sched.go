@@ -60,7 +60,7 @@ func (k *Kernel) enqueue(c *cpu, t *Thread, kick bool) {
 		// Already on a pCPU: if it is idling (pre-block window), run the
 		// new work now; otherwise the queue is noticed at the next
 		// reschedule point.
-		if c.current == nil && !c.segEv.Pending() {
+		if c.current == nil && !c.seg.Armed() {
 			k.resume(c)
 		}
 		return
@@ -231,8 +231,7 @@ func (d *Device) Raise(completion func(cpuID int)) {
 func (d *Device) deliver(c *cpu) {
 	d.Interrupts++
 	for len(d.completions) > 0 {
-		fn := d.completions[0]
-		d.completions = d.completions[1:]
+		fn := popFront(&d.completions)
 		fn(c.id)
 	}
 	if d.OnInterrupt != nil {

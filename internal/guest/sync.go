@@ -185,10 +185,10 @@ func (k *Kernel) satisfySpinner(t *Thread) {
 	}
 	t.spin.satisfied = true
 	c := k.cpus[t.cpu]
-	if c.current == t && c.running && c.segEv.Pending() {
-		k.pauseSegment(c)
+	if c.current == t && c.running && c.seg.Armed() {
+		k.creditSegment(c)
 		t.segRemaining = costmodel.SpinCheck
-		k.startSegment(c)
+		k.armSegment(c)
 	}
 	// Otherwise maybeShortcutSpin() collapses the rest of the budget
 	// when the thread next gets CPU.

@@ -46,9 +46,7 @@ func (q *WaitQueue) Post(item any, fromCPU int) bool {
 	}
 	q.items = append(q.items, item)
 	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.k.wakeThread(w, fromCPU)
+		q.k.wakeThread(popFront(&q.waiters), fromCPU)
 	}
 	return true
 }
@@ -84,13 +82,10 @@ func (k *Kernel) dequeueAdvance(c *cpu, t *Thread, q *WaitQueue) {
 	switch t.phase {
 	case 0, 1:
 		if len(q.items) > 0 {
-			t.Mailbox = q.items[0]
-			q.items = q.items[1:]
+			t.Mailbox = popFront(&q.items)
 			// Space freed: release one blocked producer.
 			if len(q.producers) > 0 {
-				p := q.producers[0]
-				q.producers = q.producers[1:]
-				k.wakeThread(p, c.id)
+				k.wakeThread(popFront(&q.producers), c.id)
 			}
 			k.chargeAndContinue(c, t, sim.Microsecond)
 			t.phase = 2
@@ -117,9 +112,7 @@ func (k *Kernel) enqueueAdvance(c *cpu, t *Thread, a ActEnqueue) {
 			q.Posts++
 			q.items = append(q.items, a.Item)
 			if len(q.waiters) > 0 {
-				w := q.waiters[0]
-				q.waiters = q.waiters[1:]
-				k.wakeThread(w, c.id)
+				k.wakeThread(popFront(&q.waiters), c.id)
 			}
 			k.chargeAndContinue(c, t, sim.Microsecond)
 			t.phase = 2

@@ -91,6 +91,7 @@ type Generator struct {
 
 	rate    float64
 	next    sim.EventRef
+	arrival sim.EventFunc // g.arrive, bound once
 	armed   bool
 	stopped bool
 	paused  bool
@@ -125,6 +126,7 @@ func New(eng *sim.Engine, srv *httpd.Server, rand *sim.Rand, cfg Config) *Genera
 		winHist: metrics.NewHistogram(bounds),
 		spare:   metrics.NewHistogram(bounds),
 	}
+	g.arrival = g.arrive
 	srv.OnComplete = g.complete
 	return g
 }
@@ -163,14 +165,17 @@ func (g *Generator) arm() {
 		return
 	}
 	mean := sim.Time(float64(sim.Second) / g.rate)
-	g.next = g.eng.After(g.rand.ExpDuration(mean), "loadgen/arrival", func() {
-		g.armed = false
-		g.stats.Offered++
-		g.stats.SLOTotal++
-		g.srv.Offer()
-		g.arm()
-	})
+	g.next = g.eng.After(g.rand.ExpDuration(mean), "loadgen/arrival", g.arrival)
 	g.armed = true
+}
+
+// arrive injects one request and schedules the next arrival.
+func (g *Generator) arrive() {
+	g.armed = false
+	g.stats.Offered++
+	g.stats.SLOTotal++
+	g.srv.Offer()
+	g.arm()
 }
 
 // complete is the server's per-request terminal callback.

@@ -11,10 +11,10 @@ import (
 // Checkpoint support (docs/checkpoint.md). A quiesced server — every
 // request terminal, every worker back on the accept queue — carries only
 // counters, latency summaries, the link's next-free time and the accept
-// queue/mutex bookkeeping. Worker closure state is structural: a blocked
-// worker always sits in the accept phase with no current request, which
-// is exactly where a freshly built worker blocks, so rebuild + overwrite
-// reproduces it.
+// queue/mutex bookkeeping. Worker state is structural: a blocked worker
+// always sits in the accept phase with no current request, which is
+// exactly where a freshly built worker blocks, so rebuild + overwrite
+// reproduces it. The request free list is a cache and is not captured.
 
 // Checkpoint is the semantic state of a quiesced Server.
 type Checkpoint struct {

@@ -119,14 +119,25 @@ func (l *Link) Utilization() float64 {
 	return float64(busy) / float64(now)
 }
 
-// request tracks one client connection through the system.
+// request tracks one client connection through the system. Requests
+// are pooled per Server (newRequest/release) and bind their event and
+// interrupt callbacks once, when first allocated, so steady-state
+// traffic schedules them without allocating.
 type request struct {
-	t0        sim.Time
-	connected sim.Time
-	replied   sim.Time
+	s  *Server
+	t0 sim.Time
+	// raisedAt is when the in-flight packet (SYN, then GET) reached the
+	// NIC; its interrupt's delivery delay is measured from here.
+	raisedAt sim.Time
 	// slowPath marks that the request's RX interrupt was delivered late
 	// (hypervisor scheduling delay), costing extra CPU to serve.
 	slowPath bool
+	// pooled marks a request sitting on the free list (double-release
+	// guard).
+	pooled bool
+
+	onSyn, onGet, onReply sim.EventFunc
+	onSynIRQ, onGetIRQ    func(cpuID int)
 }
 
 // Result summarises one load level.
@@ -158,6 +169,11 @@ type Server struct {
 
 	replies uint64
 	errors  uint64
+
+	// free is the request pool; inFlight counts requests handed out and
+	// not yet released at their terminal event.
+	free     []*request
+	inFlight int
 
 	// err records the first internal fault (e.g. a worker reaching an
 	// undefined phase); subsequent faults are dropped. A faulted worker
@@ -229,59 +245,109 @@ func (s *Server) fail(err error) {
 // incomplete (some workers exited early).
 func (s *Server) Err() error { return s.err }
 
-func (s *Server) spawnWorker(id int) {
-	s.app.threads++
-	k := s.k
-	cfg := s.cfg
-	var prog guest.ProgramFunc
-	phase := 0
-	var cur *request
-	prog = func(t *guest.Thread) guest.Action {
-		switch phase {
-		case 0: // accept: block on the socket wait queue (wake-one)
-			phase = 1
-			return guest.ActDequeue{Q: s.acceptQ}
-		case 1: // socket-lock round: sys_accept takes the socket lock
-			// briefly (kernel bucket-lock traffic, the pv-spinlock
-			// surface), without holding it across blocking.
-			cur = t.Mailbox.(*request)
-			phase = 2
-			return guest.ActLock{M: s.acceptMu}
-		case 2:
-			phase = 3
-			return guest.ActUnlock{M: s.acceptMu}
-		case 3: // request work: parse + read the 16 KB file + build reply
-			phase = 4
-			work := cfg.RequestCPU
-			if cur.slowPath {
-				work += cfg.DelayPenalty
-			}
-			return guest.ActCompute{D: work}
-		case 4: // transmit the reply over the shared link
-			phase = 0
-			r := cur
-			cur = nil
-			return guest.ActCall{Cost: 5 * sim.Microsecond, F: func(t *guest.Thread) {
-				dep := s.link.Send(cfg.FileSize)
-				k.Engine().At(dep+cfg.WireDelay, "httpd/reply", func() {
-					s.finish(r)
-				})
-			}}
-		default:
-			// An undefined phase means the worker state machine was
-			// corrupted (a programming or config error). Record it and
-			// retire this worker; the rest of the sweep keeps running.
-			s.fail(fmt.Errorf("httpd: worker %d reached undefined phase %d", id, phase))
-			return guest.ActExit{}
-		}
-	}
-	k.Spawn("httpd-worker", guest.Uthread, prog, nil)
+// worker is one Apache worker thread's program. Its compute and reply
+// actions are built and boxed once, so serving a request allocates no
+// actions.
+type worker struct {
+	s     *Server
+	id    int
+	phase int
+	cur   *request
+
+	compute, computeSlow, reply guest.Action
 }
 
-// finish records a completed reply at the client.
+func (s *Server) spawnWorker(id int) {
+	s.app.threads++
+	w := &worker{s: s, id: id}
+	w.compute = guest.ActCompute{D: s.cfg.RequestCPU}
+	w.computeSlow = guest.ActCompute{D: s.cfg.RequestCPU + s.cfg.DelayPenalty}
+	w.reply = guest.ActCall{Cost: 5 * sim.Microsecond, F: w.transmit}
+	s.k.Spawn("httpd-worker", guest.Uthread, w, nil)
+}
+
+// Next implements guest.Program.
+func (w *worker) Next(t *guest.Thread) guest.Action {
+	s := w.s
+	switch w.phase {
+	case 0: // accept: block on the socket wait queue (wake-one)
+		w.phase = 1
+		return guest.ActDequeue{Q: s.acceptQ}
+	case 1: // socket-lock round: sys_accept takes the socket lock
+		// briefly (kernel bucket-lock traffic, the pv-spinlock
+		// surface), without holding it across blocking.
+		w.cur = t.Mailbox.(*request)
+		w.phase = 2
+		return guest.ActLock{M: s.acceptMu}
+	case 2:
+		w.phase = 3
+		return guest.ActUnlock{M: s.acceptMu}
+	case 3: // request work: parse + read the 16 KB file + build reply
+		w.phase = 4
+		if w.cur.slowPath {
+			return w.computeSlow
+		}
+		return w.compute
+	case 4: // transmit the reply over the shared link
+		w.phase = 0
+		return w.reply
+	default:
+		// An undefined phase means the worker state machine was
+		// corrupted (a programming or config error). Record it and
+		// retire this worker; the rest of the sweep keeps running.
+		s.fail(fmt.Errorf("httpd: worker %d reached undefined phase %d", w.id, w.phase))
+		return guest.ActExit{}
+	}
+}
+
+// transmit is the reply ActCall body: the reply leaves over the shared
+// link and reaches the client one wire delay after departing.
+func (w *worker) transmit(*guest.Thread) {
+	r := w.cur
+	w.cur = nil
+	s := w.s
+	dep := s.link.Send(s.cfg.FileSize)
+	s.k.Engine().At(dep+s.cfg.WireDelay, "httpd/reply", r.onReply)
+}
+
+// newRequest takes a request from the pool (allocating and binding its
+// callbacks on first use) and stamps its injection time.
+func (s *Server) newRequest() *request {
+	var r *request
+	if n := len(s.free); n > 0 {
+		r = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		r = &request{s: s}
+		r.onSyn, r.onSynIRQ = r.syn, r.synIRQ
+		r.onGet, r.onGetIRQ = r.get, r.getIRQ
+		r.onReply = r.replyArrived
+	}
+	r.t0 = s.k.Engine().Now()
+	r.raisedAt = 0
+	r.slowPath = false
+	r.pooled = false
+	s.inFlight++
+	return r
+}
+
+// release returns a request to the pool at its terminal event (reply,
+// timeout or backlog drop). Releasing one twice is a bookkeeping bug.
+func (s *Server) release(r *request) {
+	if r.pooled {
+		panic("httpd: request released twice")
+	}
+	r.pooled = true
+	s.inFlight--
+	s.free = append(s.free, r)
+}
+
+// finish records a completed reply at the client and retires the
+// request.
 func (s *Server) finish(r *request) {
-	now := s.k.Engine().Now()
-	lat := now - r.t0
+	lat := s.k.Engine().Now() - r.t0
+	s.release(r)
 	if lat > s.cfg.Timeout {
 		s.errors++
 		if s.OnComplete != nil {
@@ -289,7 +355,6 @@ func (s *Server) finish(r *request) {
 		}
 		return
 	}
-	r.replied = now
 	s.replies++
 	s.resp.Observe(lat.Milliseconds())
 	if s.OnComplete != nil {
@@ -304,11 +369,13 @@ type Client struct {
 	s    *Server
 	cfg  Config
 	rand *sim.Rand
+	// offer is s.Offer, bound once for every arrival event.
+	offer sim.EventFunc
 }
 
 // NewClient pairs a client with a server.
 func NewClient(s *Server, rand *sim.Rand) *Client {
-	return &Client{k: s.k, s: s, cfg: s.cfg, rand: rand}
+	return &Client{k: s.k, s: s, cfg: s.cfg, rand: rand, offer: s.Offer}
 }
 
 // Run offers ratePerSec connections/s for the given duration, starting
@@ -325,12 +392,9 @@ func (c *Client) Run(ratePerSec float64, duration sim.Time) {
 	for i := 0; i < n; i++ {
 		// Constant rate with ±10% jitter, httperf style.
 		at := start + sim.Time(i)*gap + c.rand.Duration(0, gap/10)
-		eng.At(at, "httpd/arrival", func() { c.arrive() })
+		eng.At(at, "httpd/arrival", c.offer)
 	}
 }
-
-// arrive models one connection; see Server.Offer.
-func (c *Client) arrive() { c.s.Offer() }
 
 // Offer injects one connection at the current simulation time: SYN
 // interrupt → softirq (connection established; connection time
@@ -339,39 +403,60 @@ func (c *Client) arrive() { c.s.Offer() }
 // generators call this directly; the terminal outcome is reported
 // through OnComplete.
 func (s *Server) Offer() {
-	eng := s.k.Engine()
-	r := &request{t0: eng.Now()}
-	wire := s.cfg.WireDelay
-	eng.After(wire, "httpd/syn", func() {
-		synArrived := eng.Now()
-		s.dev.Raise(func(cpuID int) {
-			// SYN-ACK leaves immediately from the softirq. If the SYN
-			// sat pending behind a preempted vCPU, the connection takes
-			// the TCP slow path (backlog processing, possible client
-			// retransmission) and will cost extra CPU to serve.
-			if eng.Now()-synArrived > s.cfg.DelayPenaltyThreshold {
-				r.slowPath = true
-			}
-			r.connected = eng.Now() + wire
-			s.conn.Observe((r.connected - r.t0).Milliseconds())
-			// Client turnaround: ACK + GET arrive one RTT later.
-			eng.After(2*wire, "httpd/get", func() {
-				sent := eng.Now()
-				s.dev.Raise(func(cpuID int) {
-					if eng.Now()-sent > s.cfg.DelayPenaltyThreshold {
-						r.slowPath = true
-					}
-					if !s.acceptQ.Post(r, cpuID) {
-						s.errors++ // backlog overflow: connection reset
-						if s.OnComplete != nil {
-							s.OnComplete(eng.Now()-r.t0, false)
-						}
-					}
-				})
-			})
-		})
-	})
+	r := s.newRequest()
+	s.k.Engine().After(s.cfg.WireDelay, "httpd/syn", r.onSyn)
 }
+
+// syn: the SYN reaches the NIC and raises the RX interrupt.
+func (r *request) syn() {
+	r.raisedAt = r.s.k.Engine().Now()
+	r.s.dev.Raise(r.onSynIRQ)
+}
+
+// synIRQ is the SYN's softirq. The SYN-ACK leaves immediately. If the
+// SYN sat pending behind a preempted vCPU, the connection takes the TCP
+// slow path (backlog processing, possible client retransmission) and
+// will cost extra CPU to serve.
+func (r *request) synIRQ(int) {
+	s := r.s
+	eng := s.k.Engine()
+	wire := s.cfg.WireDelay
+	if eng.Now()-r.raisedAt > s.cfg.DelayPenaltyThreshold {
+		r.slowPath = true
+	}
+	connected := eng.Now() + wire
+	s.conn.Observe((connected - r.t0).Milliseconds())
+	// Client turnaround: ACK + GET arrive one RTT later.
+	eng.After(2*wire, "httpd/get", r.onGet)
+}
+
+// get: the GET reaches the NIC and raises the RX interrupt.
+func (r *request) get() {
+	r.raisedAt = r.s.k.Engine().Now()
+	r.s.dev.Raise(r.onGetIRQ)
+}
+
+// getIRQ is the GET's softirq: post the connection to the accept queue,
+// or drop it (connection reset) when the backlog is full.
+func (r *request) getIRQ(cpuID int) {
+	s := r.s
+	now := s.k.Engine().Now()
+	if now-r.raisedAt > s.cfg.DelayPenaltyThreshold {
+		r.slowPath = true
+	}
+	if s.acceptQ.Post(r, cpuID) {
+		return
+	}
+	s.errors++
+	lat := now - r.t0
+	s.release(r)
+	if s.OnComplete != nil {
+		s.OnComplete(lat, false)
+	}
+}
+
+// replyArrived: the reply's last byte reached the client.
+func (r *request) replyArrived() { r.s.finish(r) }
 
 // Result summarises the run: reply rate over the measurement window.
 func (s *Server) Result(rate float64, window sim.Time) Result {

@@ -9,7 +9,7 @@ import (
 	"vscale/internal/xen"
 )
 
-func newServer(t *testing.T, pcpus, vcpus int, cfg Config) (*sim.Engine, *Server, *Client) {
+func newServer(t testing.TB, pcpus, vcpus int, cfg Config) (*sim.Engine, *Server, *Client) {
 	t.Helper()
 	eng := sim.NewEngine(23)
 	pool := xen.NewPool(eng, xen.DefaultConfig(pcpus))

@@ -124,6 +124,12 @@ type Pool struct {
 	// hook below is a single nil check.
 	tr *trace.Tracer
 
+	// Reused buffers: vscaleTick's per-domain stats and results, and
+	// resortRunq's reordering.
+	vmStats  []core.VMStat
+	exts     []core.Extendability
+	sortRunq []*VCPU
+
 	// VScaleTicks counts extendability recalculations (diagnostics).
 	VScaleTicks uint64
 }
@@ -447,7 +453,9 @@ func (pool *Pool) pickNext(p *PCPU) *VCPU {
 		return stolen
 	}
 	if local != nil {
-		p.runq = p.runq[1:]
+		n := copy(p.runq, p.runq[1:])
+		p.runq[n] = nil
+		p.runq = p.runq[:n]
 		return local
 	}
 	return nil
@@ -492,7 +500,9 @@ func (pool *Pool) flushPending(v *VCPU) {
 	// the state before every delivery; undelivered ports stay pending.
 	for v.state == StateRunning && len(v.pendingPorts) > 0 {
 		port := v.pendingPorts[0]
-		v.pendingPorts = v.pendingPorts[1:]
+		n := copy(v.pendingPorts, v.pendingPorts[1:])
+		v.pendingPorts[n] = nil
+		v.pendingPorts = v.pendingPorts[:n]
 		port.pending = false
 		pool.observeDelay(port, pool.eng.Now()-port.pendingAt)
 		v.dom.guest.DeliverEvent(v.id, port)
@@ -809,7 +819,7 @@ func (pool *Pool) resortRunq(p *PCPU) {
 	if len(p.runq) < 2 {
 		return
 	}
-	sorted := make([]*VCPU, 0, len(p.runq))
+	sorted := pool.sortRunq[:0]
 	for cls := PriBoost; cls <= PriOver; cls++ {
 		for _, v := range p.runq {
 			if priorityClass(v) == cls {
@@ -817,7 +827,8 @@ func (pool *Pool) resortRunq(p *PCPU) {
 			}
 		}
 	}
-	p.runq = sorted
+	copy(p.runq, sorted)
+	pool.sortRunq = sorted
 }
 
 // vscaleTick recomputes every domain's CPU extendability from the last
@@ -826,9 +837,9 @@ func (pool *Pool) resortRunq(p *PCPU) {
 func (pool *Pool) vscaleTick() {
 	pool.SyncAccounting()
 	period := pool.vscaleTicker.Period()
-	stats := make([]core.VMStat, len(pool.domains))
-	for i, d := range pool.domains {
-		stats[i] = core.VMStat{
+	stats := pool.vmStats[:0]
+	for _, d := range pool.domains {
+		stats = append(stats, core.VMStat{
 			ID:               d.Name,
 			Weight:           d.Weight,
 			Consumption:      d.periodConsumed,
@@ -836,12 +847,13 @@ func (pool *Pool) vscaleTick() {
 			CapPCPUs:         d.CapPCPUs,
 			MaxVCPUs:         len(d.vcpus),
 			UP:               len(d.vcpus) == 1,
-		}
+		})
 		d.periodConsumed = 0
 	}
-	res := core.ComputeExtendability(stats, pool.cfg.PCPUs, period)
+	pool.vmStats = stats
+	pool.exts = core.ComputeExtendability(pool.exts[:0], stats, pool.cfg.PCPUs, period)
 	for i, d := range pool.domains {
-		d.ext = res[i]
+		d.ext = pool.exts[i]
 	}
 	pool.VScaleTicks++
 }
